@@ -1,0 +1,16 @@
+"""Make the benchmark modules and the repro sources importable, here and
+in the daemon processes the smoke tests start."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+SRC = os.path.join(os.path.dirname(BENCH), "src")
+
+for path in (BENCH, SRC):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
