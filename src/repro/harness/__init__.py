@@ -13,10 +13,8 @@ from repro.harness.overhead import OverheadBreakdown, measure_overhead
 from repro.harness.parallel import (
     AUTO_JOBS,
     ParallelExecutionWarning,
-    RetryPolicy,
     RunOutput,
     RunTask,
-    Watchdog,
     execute_tasks,
     resolve_jobs,
 )
@@ -40,11 +38,9 @@ __all__ = [
     "ProfileOutcome",
     "ProfileRequest",
     "ResilienceConfig",
-    "RetryPolicy",
     "RunOutput",
     "RunTask",
     "SessionJournal",
-    "Watchdog",
     "compare_app",
     "compare_builds",
     "execute_tasks",

@@ -260,13 +260,8 @@ class CheckpointStore:
             return None
         try:
             with open(path, "rb") as fh:
-                blob = fh.read()
-            if blob[:4] == EngineSnapshot.WIRE_MAGIC:
-                snap = EngineSnapshot.from_bytes(blob)
-            else:  # pre-container files: a bare pickle
-                snap = pickle.loads(blob)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, ValueError, SnapshotError) as exc:
+                snap = EngineSnapshot.from_bytes(fh.read())
+        except (OSError, SnapshotError) as exc:
             warnings.warn(
                 f"discarding unreadable checkpoint {path!r} ({exc})",
                 CheckpointCacheWarning,
@@ -276,8 +271,6 @@ class CheckpointStore:
                 os.unlink(path)
             except OSError:
                 pass
-            return None
-        if not isinstance(snap, EngineSnapshot) or snap.version != SNAPSHOT_VERSION:
             return None
         _MEMORY[(self.key, seed)] = snap
         _MEMORY.move_to_end((self.key, seed))

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.harness.journal import SessionJournal
-from repro.harness.parallel import (
-    ParallelExecutionWarning,
-    RetryPolicy,
-    RunTask,
-    execute_tasks,
-)
+from repro.harness.parallel import ParallelExecutionWarning, RunTask, execute_tasks
 from repro.harness.runner import _output_from_record, journal_hook
 from repro.sim.faults import FaultPlan
 from repro.sim.program import Program
@@ -33,11 +28,9 @@ def measure_runtimes(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     app_ref=None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[SessionJournal] = None,
     segment: str = "runtimes",
 ) -> List[int]:
@@ -71,17 +64,15 @@ def measure_runtimes(
                 outputs[idx] = _output_from_record(rec)
     remaining = [t for t in tasks if t.index not in outputs]
     for out in execute_tasks(
-        remaining, jobs=jobs, timeout=timeout,
+        remaining, jobs=jobs,
         audit_report=audit_report if jobs != 1 else None,
-        retry=retry,
         on_output=journal_hook(journal, segment),
     ):
         outputs[out.index] = out
 
     # an output can be absent outright — a journal recorded for fewer runs
-    # resumed against a larger ``runs``, or an executor task lost after retry
-    # exhaustion — so index with .get and count the hole as a failed run
-    # rather than dying on KeyError
+    # resumed against a larger ``runs`` — so index with .get and count the
+    # hole as a failed run rather than dying on KeyError
     runtimes = []
     failed = []
     absent = []
@@ -139,12 +130,10 @@ def compare_builds(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     baseline_ref=None,
     optimized_ref=None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
 ) -> Comparison:
@@ -174,14 +163,14 @@ def compare_builds(
     try:
         baseline = measure_runtimes(
             baseline_factory, runs=runs, base_seed=base_seed,
-            jobs=jobs, timeout=timeout, app_ref=baseline_ref,
-            audit_report=audit_report, faults=faults, retry=retry,
+            jobs=jobs, app_ref=baseline_ref,
+            audit_report=audit_report, faults=faults,
             journal=jr, segment="baseline",
         )
         optimized = measure_runtimes(
             optimized_factory, runs=runs, base_seed=base_seed + runs,
-            jobs=jobs, timeout=timeout, app_ref=optimized_ref,
-            audit_report=audit_report, faults=faults, retry=retry,
+            jobs=jobs, app_ref=optimized_ref,
+            audit_report=audit_report, faults=faults,
             journal=jr, segment="optimized",
         )
     finally:
@@ -207,10 +196,8 @@ def compare_app(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
     **build_kwargs,
@@ -228,12 +215,10 @@ def compare_app(
         runs=runs,
         base_seed=base_seed,
         jobs=jobs,
-        timeout=timeout,
         baseline_ref=base.registry_ref,
         optimized_ref=opt.registry_ref,
         audit_report=audit_report,
         faults=faults,
-        retry=retry,
         journal=journal,
         resume=resume,
     )

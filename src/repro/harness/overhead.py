@@ -53,7 +53,6 @@ def measure_overhead(
     runs: int = 3,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit_report=None,
 ) -> OverheadBreakdown:
     """Run the four-configuration protocol on one app.
@@ -85,7 +84,7 @@ def measure_overhead(
             for i in range(runs)
         ]
         outputs = execute_tasks(
-            tasks, jobs=jobs, timeout=timeout,
+            tasks, jobs=jobs,
             audit_report=audit_report if jobs != 1 else None,
         )
         if audit_report is not None:

@@ -15,7 +15,10 @@ result.  Three properties make that safe:
   which worker finished first, so the merged profile is bit-identical to
   the serial one.
 
-Resilience model (typed by :mod:`repro.sim.errors`):
+Failure handling (typed by :mod:`repro.sim.errors`) leans on determinism:
+a run is a pure function of its seed, so executing it in a worker or in
+the parent returns the same bytes, and the executor only has to make sure
+every run executes exactly once somewhere.
 
 * **Deterministic run failures** — a run that raises
   :class:`~repro.sim.errors.SimulationError` (deadlock, injected thread
@@ -24,24 +27,24 @@ Resilience model (typed by :mod:`repro.sim.errors`):
   :class:`~repro.core.profile_data.RunFailure` record carried home in the
   task's :class:`RunOutput`.  The session completes degraded instead of
   dying.
-* **Environmental worker failures** — a worker that raises, dies
-  (``SIGKILL`` → ``BrokenProcessPool``), or exceeds its deadline gets a
-  typed :class:`~repro.sim.errors.WorkerCrashError` /
-  :class:`~repro.sim.errors.WorkerHungError`.  These are retried under a
-  :class:`RetryPolicy`: capped exponential backoff with seeded jitter,
-  bounded in-pool attempts (a broken pool is rebuilt a bounded number of
-  times), and an in-parent execution as the last resort — so the session
-  completes whenever a serial session would.
-* **Watchdog** — with no explicit ``timeout``, each wait is bounded by a
-  deadline derived from the running median of healthy worker wall-times
-  (:class:`Watchdog`), so a hung worker can never hang the session.  Hung
-  futures cannot be ``cancel()``-ed and ``shutdown(wait=False)`` merely
-  orphans the processes, so the first hang terminates the pool outright
-  and the remaining tasks run in the parent.
-* **Circuit breaker** — after ``RetryPolicy.breaker_threshold``
-  *consecutive* worker failures the pool is evidently unhealthy: the
-  breaker opens and every remaining task runs serially in the parent
-  (one warning, not one per task).
+* **Worker failures: split, then the parent** — a failed unit (a worker
+  exception, a broken pool, or a batch that returns short before the
+  session deadline) is halved and resubmitted; a failed singleton runs in
+  the parent.  Each worker exception either halves a batch or retires a
+  singleton, so a session of n runs sees at most 2n - 1 of them.  A broken
+  pool (``SIGKILL`` → ``BrokenProcessPool``) is rebuilt at most
+  :data:`_POOL_REBUILDS` times per session; after that, or when the
+  rebuild fails, the remaining runs execute in the parent.
+* **Hangs** — each wait is bounded by a deadline derived from the running
+  median of healthy worker wall-times (:class:`Watchdog`), so a hung
+  worker can never hang the session.  Hung futures cannot be
+  ``cancel()``-ed and ``shutdown(wait=False)`` merely orphans the
+  processes, so the first hang harvests what finished, terminates the
+  pool outright, and the remaining runs execute in the parent.
+
+Every output — from a worker, from the parent, or harvested from a
+finished future before a pool teardown — passes through one ``finish``
+step that invokes the ``on_output`` hook (the session journal).
 
 ``KeyboardInterrupt``/``SystemExit`` are never swallowed: the pool's
 processes are terminated and the interrupt re-raised, and because the
@@ -62,11 +65,10 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
-import random
 import signal
+import statistics
 import time
 import warnings
-from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -106,83 +108,42 @@ def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
     return max(1, min(jobs, n_tasks))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the executor retries environmental worker failures.
+#: watchdog: until :data:`_WATCHDOG_MIN_SAMPLES` healthy runs have
+#: reported, a wait is bounded by the generous cap; after that by
+#: ``_WATCHDOG_FACTOR * median * runs + _WATCHDOG_GRACE_S`` (still capped)
+_WATCHDOG_FACTOR = 8.0
+_WATCHDOG_GRACE_S = 2.0
+_WATCHDOG_MIN_SAMPLES = 3
+_WATCHDOG_CAP_S = 300.0
 
-    Deterministic run failures (:class:`~repro.sim.errors.SimulationError`)
-    are never retried — same seed, same fault — so this policy governs only
-    worker crashes, pool breakage, and watchdog timeouts.
-    """
-
-    #: worker-process attempts per task before falling back to the parent
-    pool_attempts: int = 2
-    #: first backoff sleep; doubles per attempt up to :attr:`backoff_cap_s`
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: fraction of each backoff randomized away (seeded, deterministic)
-    jitter: float = 0.5
-    #: jitter stream seed
-    seed: int = 0
-    #: consecutive worker failures that open the circuit breaker
-    breaker_threshold: int = 3
-    #: times a broken pool is rebuilt before giving up on pooling
-    pool_recreations: int = 1
-
-    def backoff_s(self, attempt: int, task_seed: int) -> float:
-        """Capped exponential backoff with seeded jitter for one retry."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** attempt))
-        rng = random.Random(
-            (self.seed << 32) ^ task_seed ^ (attempt << 8) ^ 0xBACC
-        )
-        return base * (1.0 - self.jitter * rng.random())
+#: times a broken pool is rebuilt per session before the remaining runs
+#: execute in the parent
+_POOL_REBUILDS = 1
 
 
 class Watchdog:
-    """Per-run deadline from a running median of healthy wall-times.
+    """Per-wait deadline from a running median of healthy wall-times.
 
-    Until :attr:`min_samples` healthy runs have reported, the deadline is
-    the generous absolute cap; after that it is
-    ``factor * median + grace_s`` (still capped).  Only healthy worker
-    runs feed the median — failed or faulted runs do not shrink it.
+    Only healthy worker runs feed the median — failed or faulted runs do
+    not shrink it.
     """
 
-    def __init__(
-        self,
-        factor: float = 8.0,
-        grace_s: float = 2.0,
-        min_samples: int = 3,
-        max_deadline_s: float = 300.0,
-    ) -> None:
-        self.factor = factor
-        self.grace_s = grace_s
-        self.min_samples = min_samples
-        self.max_deadline_s = max_deadline_s
+    def __init__(self) -> None:
         self._walls: List[float] = []
 
     def observe(self, wall_s: float) -> None:
         if wall_s > 0:
-            insort(self._walls, wall_s)
-
-    @property
-    def median_s(self) -> Optional[float]:
-        if not self._walls:
-            return None
-        n = len(self._walls)
-        mid = n // 2
-        if n % 2:
-            return self._walls[mid]
-        return (self._walls[mid - 1] + self._walls[mid]) / 2.0
-
-    def deadline_s(self) -> float:
-        return self.deadline_for(1)
+            self._walls.append(wall_s)
 
     def deadline_for(self, n_runs: int) -> float:
         """Deadline for a wait covering ``n_runs`` batched runs."""
-        if len(self._walls) < self.min_samples:
-            return self.max_deadline_s
-        bound = self.factor * self.median_s * max(1, n_runs) + self.grace_s
-        return min(self.max_deadline_s, bound)
+        if len(self._walls) < _WATCHDOG_MIN_SAMPLES:
+            return _WATCHDOG_CAP_S
+        bound = (
+            _WATCHDOG_FACTOR * statistics.median(self._walls) * max(1, n_runs)
+            + _WATCHDOG_GRACE_S
+        )
+        return min(_WATCHDOG_CAP_S, bound)
 
 
 @dataclass
@@ -613,7 +574,7 @@ class RunBatch:
     The pool's unit of dispatch and retry: one future per batch.  On a
     worker failure a multi-run batch is split chunk-token style — halved
     and resubmitted — so one poisoned run cannot keep sinking its
-    siblings; singletons fall back to the per-task retry ladder.
+    siblings; a failed singleton runs in the parent.
     """
 
     bid: int
@@ -621,31 +582,29 @@ class RunBatch:
 
 
 class _PoolSession:
-    """Mutable state of one parallel session: pool, batches, retry ledger."""
+    """Mutable state of one parallel session: pool, batches, outputs."""
 
     def __init__(
         self,
         tasks: List[RunTask],
         jobs: int,
-        retry: RetryPolicy,
-        batch_size: int = 1,
-        deadline_monotonic: Optional[float] = None,
+        pool: ProcessPoolExecutor,
+        batch_size: int,
+        deadline_monotonic: Optional[float],
+        on_output: Optional[Callable[[RunTask, RunOutput], None]],
     ) -> None:
-        self.tasks = tasks
         self.jobs = jobs
-        self.retry = retry
+        #: ``None`` once the pool is gone: every remaining run executes in
+        #: the parent
+        self.pool: Optional[ProcessPoolExecutor] = pool
         self.deadline_monotonic = deadline_monotonic
-        self.pool: Optional[ProcessPoolExecutor] = None
+        self.on_output = on_output
         #: one future per live batch, keyed by batch id
         self.futures: Dict[int, concurrent.futures.Future] = {}
         self.attempts: Dict[int, int] = {t.index: 0 for t in tasks}
         self.outputs: Dict[int, RunOutput] = {}
-        self.consecutive_failures = 0
-        self.recreations = 0
-        #: pool unusable (terminated after a hang, or unrecoverably broken)
-        self.dead = False
-        #: breaker open: run everything remaining in the parent
-        self.breaker_open = False
+        self.rebuilds = 0
+        self._by_index = {t.index: t for t in tasks}
         self._next_bid = 0
         self.batches: Dict[int, RunBatch] = {}
         self._task_batch: Dict[int, int] = {}
@@ -733,9 +692,26 @@ class _PoolSession:
             if any(t.index not in self.outputs for t in batch.tasks):
                 self.submit(batch)
 
+    def finish(self, task: RunTask, out: RunOutput) -> None:
+        """Record a task's final output; the one place ``on_output`` fires."""
+        if task.index in self.outputs:
+            return
+        self.outputs[task.index] = out
+        if self.on_output is not None:
+            self.on_output(task, out)
+
+    def run_in_parent(self, task: RunTask, err: Optional[Exception] = None) -> None:
+        if err is not None:
+            _warn(
+                f"run {task.index} (seed {task.seed}) failed in worker "
+                f"({type(err).__name__}: {err}); retrying in parent"
+            )
+        if task.index not in self.outputs:
+            self.finish(task, _run_task(task, keep_objects=True))
+
     def harvest_done(self) -> None:
-        """Collect every already-finished future (before a pool teardown)."""
-        for fut in list(self.futures.values()):
+        """Finish every output of an already-completed future."""
+        for fut in self.futures.values():
             if not fut.done():
                 continue
             try:
@@ -743,62 +719,73 @@ class _PoolSession:
             except (KeyboardInterrupt, SystemExit):
                 raise
             except (_FutureCancelled, Exception):
-                continue  # it failed; the main loop will handle its tasks
+                continue  # it failed; its tasks are handled elsewhere
             for out in outs:
-                if out.index not in self.outputs:
-                    self.outputs[out.index] = out
+                self.finish(self._by_index[out.index], out)
 
-    def shutdown(self, now: bool = False) -> None:
+    def teardown(self, harvest: bool = True) -> None:
+        """Terminate the pool now, hung workers included, after harvesting
+        what already finished; the remaining runs go to the parent."""
         if self.pool is None:
             return
-        if now:
-            _terminate_pool(self.pool)
-        else:
-            self.pool.shutdown(wait=True, cancel_futures=True)
+        if harvest:
+            self.harvest_done()
+        _terminate_pool(self.pool)
         self.pool = None
+        self.futures.clear()
 
-    def note_worker_failure(self) -> bool:
-        """Count a worker failure; returns True when the breaker opens."""
-        self.consecutive_failures += 1
-        if (
-            not self.breaker_open
-            and self.consecutive_failures >= self.retry.breaker_threshold
-        ):
-            self.breaker_open = True
+    def rebuild_pool(self, exc: BaseException) -> None:
+        """Replace a broken pool, at most :data:`_POOL_REBUILDS` times."""
+        self.teardown()
+        if self.rebuilds >= _POOL_REBUILDS:
             _warn(
-                f"{self.consecutive_failures} consecutive worker failures: "
-                f"circuit breaker open, running remaining runs serially in "
-                f"the parent"
+                f"process pool broke again ({type(exc).__name__}); running "
+                f"the remaining runs in the parent"
             )
-        return self.breaker_open
-
-    def rebuild_pool(self) -> bool:
-        """Replace a broken pool, bounded by the retry policy."""
-        if self.recreations >= self.retry.pool_recreations:
-            return False
-        self.recreations += 1
+            return
+        self.rebuilds += 1
         try:
-            if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
             self.pool = ProcessPoolExecutor(max_workers=self.jobs)
         except (KeyboardInterrupt, SystemExit):
             raise
-        except Exception as exc:
-            _warn(f"could not rebuild process pool ({exc!r})")
-            self.pool = None
-            return False
-        self.futures.clear()
+        except Exception as err:
+            _warn(f"could not rebuild process pool ({err!r})")
+            return
         self.submit_unfinished()
-        return True
+
+    def fail(self, batch: RunBatch, pending: List[RunTask], exc: BaseException) -> None:
+        """The one failure path: halve a failed unit and resubmit it, or run
+        a failed singleton in the parent.  A broken pool fails every
+        outstanding future, so it is also rebuilt (bounded) and all
+        unfinished work resubmitted."""
+        for t in pending:
+            self.attempts[t.index] += 1
+        if len(pending) > 1:
+            _warn(
+                f"a batch of {len(pending)} runs failed in a worker "
+                f"({type(exc).__name__}: {exc}); splitting it and retrying"
+            )
+            mid = (len(pending) + 1) // 2
+            units = self.replace_batch(batch, [pending[:mid], pending[mid:]])
+            orphan = None
+        else:
+            units = self.replace_batch(batch, [])
+            orphan = pending[0]
+        if isinstance(exc, (BrokenProcessPool, _FutureCancelled)):
+            self.rebuild_pool(exc)
+        else:
+            for unit in units:
+                self.submit(unit)
+        if orphan is not None:
+            self.run_in_parent(orphan, WorkerCrashError(
+                f"worker failed ({type(exc).__name__}: {exc})", cause=exc,
+            ))
 
 
 def execute_tasks(
     tasks: List[RunTask],
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit_report=None,
-    retry: Optional[RetryPolicy] = None,
-    watchdog: Optional[Watchdog] = None,
     on_output: Optional[Callable[[RunTask, RunOutput], None]] = None,
     deadline_monotonic: Optional[float] = None,
     batch_runs: Optional[int] = None,
@@ -808,19 +795,14 @@ def execute_tasks(
     Outputs come back in task order regardless of completion order.
     Tasks ship to the pool in :class:`RunBatch` groups of ``batch_runs``
     (auto-sized from the run count and ``jobs`` when ``None``) so one IPC
-    round trip amortizes over several runs; a failed multi-run batch is
-    split in half and resubmitted, so a single poisoned run degrades to a
-    singleton instead of sinking its batch-mates.
-    Worker failures retry per ``retry`` (default :class:`RetryPolicy`):
-    in-pool with capped exponential backoff first, in the parent last, with
-    a circuit breaker that degrades the whole batch to in-parent serial
-    execution after repeated consecutive failures.  Waits are bounded by
-    ``timeout`` when given (scaled by the number of runs still pending in
-    the awaited batch), else by the ``watchdog`` deadline (running
-    median of healthy wall-times); the first hang terminates the pool's
-    processes (hung workers cannot be cancelled) and the remaining tasks
-    run in the parent.  A pool that cannot start degrades the whole batch
-    to serial with a warning.
+    round trip amortizes over several runs.  A failed unit is halved and
+    resubmitted, a failed singleton runs in the parent, and a broken pool
+    is rebuilt once before the remaining runs move to the parent.  Waits
+    are bounded by the :class:`Watchdog` deadline; the first hang
+    terminates the pool's processes (hung workers cannot be cancelled) and
+    the remaining tasks run in the parent.  A pool that cannot start, or
+    tasks that do not pickle, degrade the whole batch to serial with a
+    warning.
 
     ``deadline_monotonic`` (a ``time.monotonic()`` timestamp) bounds the
     whole batch: once it passes, no further task starts, in-flight waits
@@ -828,7 +810,7 @@ def execute_tasks(
     completed prefix is returned — so the returned list may be *shorter*
     than ``tasks``.  The profiling service uses this to propagate a job's
     deadline into the executor's watchdog.  Without a deadline every task
-    produces an output, exactly as before.
+    produces an output.
 
     ``on_output`` is invoked once per task with its final output, as soon
     as that output is known — the journal hook.  With an ``audit_report``
@@ -836,12 +818,9 @@ def execute_tasks(
     runs is re-executed in the parent and checked for bit-identity.
     """
     jobs = resolve_jobs(jobs, len(tasks))
-    retry = retry or RetryPolicy()
 
-    def remaining_s() -> Optional[float]:
-        if deadline_monotonic is None:
-            return None
-        return deadline_monotonic - time.monotonic()
+    def deadline_passed() -> bool:
+        return deadline_monotonic is not None and time.monotonic() >= deadline_monotonic
 
     if jobs <= 1 or len(tasks) <= 1:
         return _run_serial(tasks, on_output, deadline_monotonic)
@@ -866,173 +845,72 @@ def execute_tasks(
     else:
         batch_size = auto_batch_size(len(tasks), jobs)
     session = _PoolSession(
-        tasks, jobs, retry,
-        batch_size=batch_size,
-        deadline_monotonic=deadline_monotonic,
+        tasks, jobs, pool, batch_size, deadline_monotonic, on_output
     )
-    session.pool = pool
-    watchdog = watchdog or Watchdog()
+    watchdog = Watchdog()
 
-    def finish(task: RunTask, out: RunOutput) -> None:
-        session.outputs[task.index] = out
-        if on_output is not None:
-            on_output(task, out)
-
-    def run_in_parent(task: RunTask, err: Optional[Exception] = None) -> None:
-        if err is not None:
-            _warn(
-                f"run {task.index} (seed {task.seed}) failed in worker "
-                f"({type(err).__name__}: {err}); retrying in parent"
-            )
-        finish(task, _run_task(task, keep_objects=True))
-
-    def fail_batch(
-        batch: RunBatch,
-        pending: List[RunTask],
-        exc: BaseException,
-        err: Exception,
-        current: RunTask,
-    ) -> None:
-        """React to a worker failure that took down a whole batch future.
-
-        Multi-run batches are halved and resubmitted (chunk-token style) so
-        a single poisoned run converges to a singleton; singletons follow
-        the classic per-task ladder: in-pool retries, then the parent.
-        """
-        if len(pending) < len(batch.tasks):
-            batch = session.replace_batch(batch, [pending])[0]
-        for t in pending:
-            session.attempts[t.index] += 1
-        if session.note_worker_failure():
-            return  # breaker just opened; the loop falls to the parent
-        attempt = session.attempts[current.index] - 1
-        broken = isinstance(exc, (BrokenProcessPool, _FutureCancelled))
-        if len(pending) > 1:
-            _warn(
-                f"a batch of {len(pending)} runs failed in a worker "
-                f"({type(exc).__name__}: {exc}); splitting it and retrying"
-            )
-            mid = (len(pending) + 1) // 2
-            halves = session.replace_batch(
-                batch, [pending[:mid], pending[mid:]]
-            )
-            time.sleep(retry.backoff_s(attempt, current.seed))
-            if broken:
-                # a SIGKILL-ed worker breaks every outstanding future:
-                # rebuild the pool (bounded) and resubmit all unfinished
-                # work, halves included
-                if not session.rebuild_pool():
-                    session.dead = True
-                    run_in_parent(current, err)
-            else:
-                for half in halves:
-                    session.submit(half)
-            return
-        if broken:
-            time.sleep(retry.backoff_s(attempt, current.seed))
-            if not session.rebuild_pool():
-                session.dead = True
-                run_in_parent(current, err)
-            return
-        if session.attempts[current.index] < retry.pool_attempts:
-            time.sleep(retry.backoff_s(attempt, current.seed))
-            session.submit(batch)
-            return
-        run_in_parent(current, err)
-
-    expired = False
     try:
         session.submit_unfinished()
         for task in tasks:
             while task.index not in session.outputs:
-                rem = remaining_s()
-                if rem is not None and rem <= 0:
-                    # deadline passed: keep what finished, reclaim the
-                    # workers, and hand the partial batch back
-                    expired = True
-                    session.harvest_done()
-                    session.shutdown(now=True)
-                    session.dead = True
+                if deadline_passed():
+                    # keep what finished, reclaim the workers, and hand
+                    # the partial batch back
+                    session.teardown()
                     break
-                if session.dead or session.breaker_open:
-                    run_in_parent(task)
+                if session.pool is None:
+                    session.run_in_parent(task)
                     break
                 batch = session.batch_of(task.index)
                 if batch.bid not in session.futures:
                     session.submit(batch)
-                fut = session.futures[batch.bid]
                 pending = [
                     t for t in batch.tasks if t.index not in session.outputs
                 ]
-                if timeout is not None:
-                    wait_s = timeout * len(pending)
-                else:
-                    wait_s = watchdog.deadline_for(len(pending))
-                if rem is not None:
-                    wait_s = min(wait_s, rem)
+                wait_s = watchdog.deadline_for(len(pending))
+                if deadline_monotonic is not None:
+                    wait_s = min(wait_s, deadline_monotonic - time.monotonic())
                 try:
-                    outs = fut.result(timeout=wait_s)
+                    outs = session.futures[batch.bid].result(timeout=wait_s)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except (_FutureTimeout, TimeoutError):
-                    rem = remaining_s()
-                    if rem is not None and rem <= 0:
-                        # the wait was clamped to the deadline, not the
-                        # watchdog bound: this is expiry, not a hang
-                        continue
-                    err = WorkerHungError(
+                    if deadline_passed():
+                        continue  # clamped to the deadline: expiry, not a hang
+                    session.teardown()
+                    session.run_in_parent(task, WorkerHungError(
                         f"worker exceeded its {wait_s:.1f}s deadline",
                         deadline_s=wait_s,
-                    )
-                    session.note_worker_failure()
-                    # a hung worker cannot be cancelled: harvest what
-                    # finished, reclaim the processes, finish in the parent
-                    session.harvest_done()
-                    session.shutdown(now=True)
-                    session.dead = True
-                    run_in_parent(task, err)
+                    ))
                 except (_FutureCancelled, Exception) as exc:
-                    err = WorkerCrashError(
-                        f"worker failed ({type(exc).__name__}: {exc})",
-                        cause=exc,
-                    )
-                    fail_batch(batch, pending, exc, err, task)
+                    session.fail(batch, pending, exc)
                 else:
                     session.futures.pop(batch.bid, None)
                     got = {o.index: o for o in outs}
-                    delivered = [t for t in pending if t.index in got]
-                    if delivered:
-                        session.consecutive_failures = 0
-                    for done_task in delivered:
-                        out = got[done_task.index]
-                        if not out.failed:
-                            watchdog.observe(out.wall_s)
-                        finish(done_task, out)
+                    for t in pending:
+                        out = got.get(t.index)
+                        if out is not None:
+                            if not out.failed:
+                                watchdog.observe(out.wall_s)
+                            session.finish(t, out)
                     missing = [t for t in pending if t.index not in got]
-                    if missing:
-                        rem = remaining_s()
-                        if rem is not None and rem <= 0:
-                            continue  # deadline truncation; loop top expires
+                    if missing and not deadline_passed():
                         # the worker returned early with time still on the
-                        # clock: treat the undelivered tail as a crash so
-                        # it retries instead of resubmitting forever
-                        exc = RuntimeError(
+                        # clock: a failed unit like any other
+                        session.fail(batch, missing, RuntimeError(
                             f"worker returned {len(got)}/{len(pending)} "
                             f"batch runs before the session deadline"
-                        )
-                        err = WorkerCrashError(str(exc), cause=exc)
-                        fail_batch(batch, missing, exc, err, task)
-            if expired:
+                        ))
+            if deadline_passed() and task.index not in session.outputs:
                 break
     except (KeyboardInterrupt, SystemExit):
         # never swallow an interrupt — reclaim the workers and re-raise;
         # journaled records are already fsync'd, so the session is resumable
-        session.shutdown(now=True)
-        session.dead = True
+        session.teardown(harvest=False)
         raise
     finally:
-        if not session.dead:
-            session.shutdown(now=False)
+        if session.pool is not None:
+            session.pool.shutdown(wait=True, cancel_futures=True)
     if audit_report is not None:
         _audit_identity(tasks, session.outputs, audit_report)
     return [session.outputs[t.index] for t in tasks if t.index in session.outputs]

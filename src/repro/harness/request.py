@@ -1,34 +1,25 @@
-"""The profiling-session request surface: grouped knobs + legacy shims.
+"""The profiling-session request surface: one request, three sub-configs.
 
-:class:`ProfileRequest` started as a dozen flat fields and grew with every
-subsystem (parallel execution, fault injection, journaling, checkpoints,
-planning).  The knobs now live in three sub-configs grouped by concern:
+:class:`ProfileRequest` groups its knobs by concern:
 
-* :class:`ExecutionConfig` — *how* runs execute (workers, timeouts, retry,
-  checkpoint fast-forward).  Execution-only: never part of the session
-  fingerprint, because results are bit-identical across these settings.
+* :class:`ExecutionConfig` — *how* runs execute (workers, batching,
+  checkpoint fast-forward, the session deadline).  Execution-only: never
+  part of the session fingerprint, because results are bit-identical
+  across these settings.
 * :class:`ResilienceConfig` — fault injection and crash recovery (chaos
   plan, journal/resume paths, the stop-early testing hook).  The fault
   plan *is* fingerprinted (it changes results); the journal paths are not.
 * :class:`~repro.plan.base.PlanConfig` — which experiment planner drives
   the session and with what budget.  Fingerprinted: replaying a journal
   under a different planner would feed a different decision process.
-
-The original flat keyword surface (``jobs=``, ``faults=``, ``journal=``,
-...) still works everywhere — construction folds legacy kwargs into the
-sub-configs with a :class:`DeprecationWarning`, and read access goes
-through properties — so existing call sites, tests, and fingerprints are
-unchanged.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.core.config import CozConfig
-from repro.harness.parallel import RetryPolicy
 from repro.plan.base import PlanConfig
 from repro.sim.faults import FaultPlan
 
@@ -39,16 +30,11 @@ class ExecutionConfig:
 
     #: worker processes: 1 = serial, 0/None = auto (cpu-count-aware)
     jobs: int = 1
-    #: per-run timeout in seconds when running in worker processes
-    #: (``None`` = the executor's watchdog deadline)
-    timeout: Optional[float] = None
     #: runs shipped per worker dispatch (:class:`~repro.harness.parallel.
     #: RunBatch`); ``None`` = auto-sized from the run count and ``jobs``,
     #: ``1`` = classic one-future-per-run dispatch.  Execution-only: the
     #: merged profile is bit-identical for every batch size.
     batch_runs: Optional[int] = None
-    #: retry/backoff/circuit-breaker policy for worker failures
-    retry: Optional[RetryPolicy] = None
     #: checkpoint fast-forward (:mod:`repro.harness.checkpoint`): resume
     #: runs from stored prefix snapshots when bit-identical ones exist and
     #: record snapshots when they don't.  Ignored for unregistered specs,
@@ -87,179 +73,40 @@ class ResilienceConfig:
     stop_after_runs: Optional[int] = None
 
 
-#: legacy flat kwarg -> (sub-config attribute on ProfileRequest, field name)
-_LEGACY_FIELDS = {
-    "jobs": ("execution", "jobs"),
-    "timeout": ("execution", "timeout"),
-    "retry": ("execution", "retry"),
-    "checkpoint": ("execution", "checkpoint"),
-    "checkpoint_dir": ("execution", "checkpoint_dir"),
-    "faults": ("resilience", "faults"),
-    "journal": ("resilience", "journal"),
-    "resume": ("resilience", "resume"),
-    "stop_after_runs": ("resilience", "stop_after_runs"),
-}
-
-_GROUP_DEFAULTS = {
-    "execution": ExecutionConfig,
-    "resilience": ResilienceConfig,
-    "plan": PlanConfig,
-}
-
-
+@dataclass
 class ProfileRequest:
     """Everything tunable about one multi-run profiling session.
 
     The single keyword surface shared by :func:`~repro.harness.runner.
     profile_app`, :func:`~repro.harness.runner.profile_program`, and the
-    CLI; construct once, reuse across apps.
-
-    Grouped construction (preferred)::
+    CLI; construct once, reuse across apps::
 
         ProfileRequest(runs=8, execution=ExecutionConfig(jobs=4),
                        plan=PlanConfig(planner="adaptive", budget=6))
 
-    The legacy flat kwargs (``jobs=4``, ``faults=plan``, ...) are still
-    accepted, folded into the sub-configs with a ``DeprecationWarning``.
+    A sub-config left as ``None`` takes its defaults.
     """
 
-    def __init__(
-        self,
-        runs: int = 5,
-        base_seed: int = 0,
-        coz_config: Optional[CozConfig] = None,
-        min_speedup_amounts: int = 2,
-        audit: bool = False,
-        execution: Optional[ExecutionConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        plan: Optional[PlanConfig] = None,
-        **legacy: Any,
-    ) -> None:
-        #: number of profiling runs to merge (the static schedule's length
-        #: and the default planner budget)
-        self.runs = runs
-        #: run ``i`` is seeded ``base_seed + i`` (serial and parallel alike)
-        self.base_seed = base_seed
-        #: profiler configuration; ``None`` = defaults (scope filled from spec)
-        self.coz_config = coz_config
-        #: discard lines measured at fewer distinct speedups than this
-        self.min_speedup_amounts = min_speedup_amounts
-        #: attach the invariant audit (:mod:`repro.core.audit`) to every run
-        #: and merge per-run reports into :attr:`ProfileOutcome.audit`
-        self.audit = audit
+    #: number of profiling runs to merge (the static schedule's length and
+    #: the default planner budget)
+    runs: int = 5
+    #: run ``i`` is seeded ``base_seed + i`` (serial and parallel alike)
+    base_seed: int = 0
+    #: profiler configuration; ``None`` = defaults (scope filled from spec)
+    coz_config: Optional[CozConfig] = None
+    #: discard lines measured at fewer distinct speedups than this
+    min_speedup_amounts: int = 2
+    #: attach the invariant audit (:mod:`repro.core.audit`) to every run and
+    #: merge per-run reports into :attr:`ProfileOutcome.audit`
+    audit: bool = False
+    execution: Optional[ExecutionConfig] = None
+    resilience: Optional[ResilienceConfig] = None
+    plan: Optional[PlanConfig] = None
 
-        groups: Dict[str, Any] = {
-            "execution": execution,
-            "resilience": resilience,
-            "plan": plan,
-        }
-        overrides: Dict[str, Dict[str, Any]] = {g: {} for g in _GROUP_DEFAULTS}
-        unknown = [k for k in legacy if k not in _LEGACY_FIELDS]
-        if unknown:
-            raise TypeError(
-                f"ProfileRequest got unexpected keyword argument(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        for key, value in legacy.items():
-            group, attr = _LEGACY_FIELDS[key]
-            if groups[group] is not None:
-                raise ValueError(
-                    f"{key}= conflicts with {group}=; set it on the "
-                    f"{type(groups[group]).__name__} instead"
-                )
-            overrides[group][attr] = value
-        if legacy:
-            warnings.warn(
-                f"flat ProfileRequest kwargs ({', '.join(sorted(legacy))}) are "
-                f"deprecated; use the grouped execution=/resilience=/plan= "
-                f"sub-configs",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        for group, factory in _GROUP_DEFAULTS.items():
-            if groups[group] is None:
-                groups[group] = factory(**overrides[group])
-        self.execution: ExecutionConfig = groups["execution"]
-        self.resilience: ResilienceConfig = groups["resilience"]
-        self.plan: PlanConfig = groups["plan"]
-
-    # -- legacy read surface ---------------------------------------------------
-    # every pre-grouping reader (runner internals, tests, downstream code)
-    # keeps working; these are silent — only *construction* with flat
-    # kwargs warns
-
-    @property
-    def jobs(self) -> int:
-        return self.execution.jobs
-
-    @property
-    def timeout(self) -> Optional[float]:
-        return self.execution.timeout
-
-    @property
-    def retry(self) -> Optional[RetryPolicy]:
-        return self.execution.retry
-
-    @property
-    def checkpoint(self) -> bool:
-        return self.execution.checkpoint
-
-    @property
-    def checkpoint_dir(self) -> Optional[str]:
-        return self.execution.checkpoint_dir
-
-    @property
-    def deadline_s(self) -> Optional[float]:
-        return self.execution.deadline_s
-
-    @property
-    def faults(self) -> Optional[FaultPlan]:
-        return self.resilience.faults
-
-    @property
-    def journal(self) -> Optional[str]:
-        return self.resilience.journal
-
-    @property
-    def resume(self) -> Optional[str]:
-        return self.resilience.resume
-
-    @property
-    def stop_after_runs(self) -> Optional[int]:
-        return self.resilience.stop_after_runs
-
-    @property
-    def planner(self) -> str:
-        return self.plan.planner
-
-    @property
-    def budget(self) -> Optional[int]:
-        return self.plan.budget
-
-    # -- value semantics -------------------------------------------------------
-
-    def _key(self):
-        return (
-            self.runs,
-            self.base_seed,
-            self.coz_config,
-            self.min_speedup_amounts,
-            self.audit,
-            self.execution,
-            self.resilience,
-            self.plan,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProfileRequest):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"ProfileRequest(runs={self.runs}, base_seed={self.base_seed}, "
-            f"coz_config={self.coz_config!r}, "
-            f"min_speedup_amounts={self.min_speedup_amounts}, "
-            f"audit={self.audit}, execution={self.execution!r}, "
-            f"resilience={self.resilience!r}, plan={self.plan!r})"
-        )
+    def __post_init__(self) -> None:
+        if self.execution is None:
+            self.execution = ExecutionConfig()
+        if self.resilience is None:
+            self.resilience = ResilienceConfig()
+        if self.plan is None:
+            self.plan = PlanConfig()

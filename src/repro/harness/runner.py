@@ -107,8 +107,8 @@ def session_fingerprint(
 ) -> dict:
     """Everything that determines a session's results, canonicalized.
 
-    Execution-only knobs (``jobs``, ``timeout``, retry policy, checkpoint
-    fast-forward, the observational ``audit`` flag) are excluded: a session
+    Execution-only knobs (everything in :class:`ExecutionConfig` and the
+    observational ``audit`` flag) are excluded: a session
     may be resumed with a different worker count and still merge
     bit-identically.  The per-run seed overrides the config's ``seed``
     field, so that is normalized out too.  The plan configuration *is*
@@ -123,7 +123,7 @@ def session_fingerprint(
         "base_seed": request.base_seed,
         "min_speedup_amounts": request.min_speedup_amounts,
         "coz_config": canonical(replace(coz_config, seed=0, audit=False)),
-        "faults": canonical(request.faults),
+        "faults": canonical(request.resilience.faults),
         "plan": canonical(request.plan),
     }
 
@@ -177,7 +177,7 @@ def run_profile_session(
     """Profile an app spec per ``request``: the propose → execute →
     observe loop.
 
-    With ``request.jobs != 1`` each batch executes in worker processes;
+    With ``request.execution.jobs != 1`` each batch executes in worker processes;
     specs built by :func:`repro.apps.registry.build` are rebuilt
     worker-side from their :class:`~repro.apps.registry.AppRef`, while
     unregistered specs (whose ``build`` closures cannot be pickled) fall
@@ -203,14 +203,14 @@ def run_profile_session(
     # is invalidated) at session start rather than deep inside a worker.
     store = None
     if (
-        request.checkpoint
+        request.execution.checkpoint
         and spec.registry_ref is not None
         and audit_report is None
     ):
         from repro.harness.checkpoint import CheckpointStore, checkpoint_fingerprint
 
-        key = checkpoint_fingerprint(spec, coz_config, request.faults)
-        store = CheckpointStore(key, directory=request.checkpoint_dir)
+        key = checkpoint_fingerprint(spec, coz_config, request.resilience.faults)
+        store = CheckpointStore(key, directory=request.execution.checkpoint_dir)
 
     def make_task(plan: ExperimentPlan) -> RunTask:
         # Directed runs carry a one-off config (fixed line + probe
@@ -227,7 +227,7 @@ def run_profile_session(
             program_factory=None if spec.registry_ref is not None else spec.build,
             progress_points=tuple(spec.progress_points),
             latency_specs=tuple(spec.latency_specs),
-            faults=request.faults,
+            faults=request.resilience.faults,
             checkpoint=use_store,
             checkpoint_key=store.key if use_store else None,
             checkpoint_dir=store.directory if use_store else None,
@@ -238,14 +238,15 @@ def run_profile_session(
 
     journal: Optional[SessionJournal] = None
     replayed: Dict[int, RunOutput] = {}
-    if request.resume is not None:
+    resilience = request.resilience
+    if resilience.resume is not None:
         fingerprint = session_fingerprint(spec, request, coz_config)
-        journal = SessionJournal.resume(request.resume, fingerprint)
+        journal = SessionJournal.resume(resilience.resume, fingerprint)
         for idx, rec in journal.completed(DEFAULT_SEGMENT).items():
             replayed[idx] = _output_from_record(rec)
-    elif request.journal is not None:
+    elif resilience.journal is not None:
         fingerprint = session_fingerprint(spec, request, coz_config)
-        journal = SessionJournal.create(request.journal, fingerprint)
+        journal = SessionJournal.create(resilience.journal, fingerprint)
 
     planner = make_planner(request.plan, default_runs=request.runs)
     on_output = journal_hook(journal)
@@ -254,7 +255,7 @@ def run_profile_session(
     outputs: Dict[int, RunOutput] = {}
     merged = 0
     #: non-replayed runs the session may still execute (None = unlimited)
-    fresh_budget = request.stop_after_runs
+    fresh_budget = resilience.stop_after_runs
     stopped = False
     deadline_exceeded = False
     deadline_monotonic = None
@@ -286,10 +287,8 @@ def run_profile_session(
                 fresh_budget -= len(fresh)
             executed = execute_tasks(
                 fresh,
-                jobs=request.jobs,
-                timeout=request.timeout,
-                audit_report=audit_report if request.jobs != 1 else None,
-                retry=request.retry,
+                jobs=request.execution.jobs,
+                audit_report=audit_report if request.execution.jobs != 1 else None,
                 on_output=on_output,
                 deadline_monotonic=deadline_monotonic,
                 batch_runs=request.execution.batch_runs,
@@ -360,7 +359,6 @@ def profile_program(
     min_speedup_amounts: int = 2,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit: bool = False,
     faults: Optional[FaultPlan] = None,
     plan: Optional[PlanConfig] = None,
@@ -384,7 +382,7 @@ def profile_program(
         coz_config=coz_config,
         min_speedup_amounts=min_speedup_amounts,
         audit=audit,
-        execution=ExecutionConfig(jobs=jobs, timeout=timeout),
+        execution=ExecutionConfig(jobs=jobs),
         resilience=ResilienceConfig(faults=faults),
         plan=plan,
     )
@@ -398,7 +396,6 @@ def profile_app(
     min_speedup_amounts: int = 2,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit: bool = False,
     faults: Optional[FaultPlan] = None,
     journal: Optional[str] = None,
@@ -412,7 +409,7 @@ def profile_app(
         coz_config=coz_config,
         min_speedup_amounts=min_speedup_amounts,
         audit=audit,
-        execution=ExecutionConfig(jobs=jobs, timeout=timeout),
+        execution=ExecutionConfig(jobs=jobs),
         resilience=ResilienceConfig(faults=faults, journal=journal, resume=resume),
         plan=plan,
     )

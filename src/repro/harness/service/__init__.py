@@ -3,7 +3,7 @@
 Every CLI invocation of this reproduction is a cold island; the service
 turns the existing robustness machinery — canonical session fingerprints
 (:mod:`repro.harness.journal`), the shared :class:`~repro.harness.
-checkpoint.CheckpointStore`, the retry/watchdog executor
+checkpoint.CheckpointStore`, the split-on-failure executor
 (:mod:`repro.harness.parallel`) — into a daemon that serves N concurrent
 profiling sessions over one shared cache:
 

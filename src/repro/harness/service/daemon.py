@@ -15,7 +15,7 @@ draining the :class:`~repro.harness.service.jobs.JobQueue`.  Sessions
 execute through the ordinary :func:`~repro.harness.runner.
 run_profile_session` machinery — journaled, checkpointed, deadline-aware —
 so every robustness property the harness already has (bit-identical
-resume, typed fault taxonomy, retry/watchdog) is inherited rather than
+resume, typed fault taxonomy, split-on-failure) is inherited rather than
 reimplemented.
 
 **Admission order** at submit is deliberate: circuit breaker first (a

@@ -13,8 +13,9 @@ Two families share the :class:`SimulationError` root:
   :class:`WorkerCrashError` / :class:`WorkerHungError` subclasses) describe
   what went wrong with the *process* executing a run: a worker died, hung
   past its watchdog deadline, or a run ended in a recorded fault.  Worker
-  failures are environmental and therefore retryable (backoff + circuit
-  breaker, :mod:`repro.harness.parallel`).
+  failures are environmental and therefore retryable: the executor
+  (:mod:`repro.harness.parallel`) splits the failed batch and runs a
+  failed single run in the parent.
 
 Sim-level errors carry ``virtual_ns`` — the virtual timestamp at which the
 run stopped making progress — so failure records can say how far a run got.
@@ -139,8 +140,9 @@ class WorkerCrashError(RunFaultedError):
     """A worker process died or raised while executing a run.
 
     Environmental (pool breakage, a ``SIGKILL``-ed worker, an exception
-    that only reproduces worker-side), hence retryable: the executor backs
-    off and retries, in a fresh pool first and in the parent last.
+    that only reproduces worker-side), hence retryable: the executor halves
+    a failed batch and resubmits it, and runs a failed single run in the
+    parent.
     """
 
     def __init__(self, message: str, cause: Optional[BaseException] = None) -> None:
@@ -151,9 +153,9 @@ class WorkerCrashError(RunFaultedError):
 class WorkerHungError(RunFaultedError):
     """A worker exceeded its watchdog deadline.
 
-    The deadline is either the caller's explicit per-run timeout or the
-    executor's running-median-derived watchdog bound.  Hung workers cannot
-    be cancelled, so raising this also terminates the pool's processes.
+    The deadline is the executor's running-median-derived watchdog bound.
+    Hung workers cannot be cancelled, so raising this also terminates the
+    pool's processes.
     """
 
     def __init__(self, message: str, deadline_s: Optional[float] = None) -> None:

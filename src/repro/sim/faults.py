@@ -2,7 +2,7 @@
 
 Long causal-profiling sessions are only useful if they survive to the end,
 so every recovery path in the harness — typed failure records, watchdog
-deadlines, retry/backoff, journal resume — must be exercisable on demand.
+deadlines, split-on-failure, journal resume — must be exercisable on demand.
 This module injects *virtual* faults into runs, seeded and deterministic:
 the same :class:`FaultPlan` and run seed always produce the same faults at
 the same virtual instants, which makes chaos tests repeatable and lets a
@@ -27,12 +27,12 @@ Fault classes (each an independent per-run probability):
 * ``worker_kill`` / ``worker_hang`` — executor-level faults: the *worker
   process* executing the run SIGKILLs itself or hangs before running.
   These fire only inside pool workers and only on a task's first attempt,
-  so the executor's backoff/retry and watchdog paths are exercised and the
-  retry succeeds.
+  so the executor's split-on-failure and watchdog paths are exercised and
+  the resubmitted run succeeds.
 
 Sim-level faults are enabled via ``SimConfig.faults`` (the engine builds a
 :class:`FaultInjector` per run); the harness plumbs a plan end-to-end with
-``ProfileRequest(faults=...)`` and the ``--chaos`` CLI flag.
+``ResilienceConfig(faults=...)`` and the ``--chaos`` CLI flag.
 """
 
 from __future__ import annotations

@@ -15,7 +15,13 @@ import pytest
 
 from repro.apps import registry
 from repro.apps.example import build_example
-from repro.harness import ProfileRequest, run_profile_session
+from repro.harness import (
+    ExecutionConfig,
+    ProfileRequest,
+    ResilienceConfig,
+    run_profile_session,
+)
+from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import ParallelExecutionWarning
 from repro.sim.faults import FaultPlan
 
@@ -25,10 +31,16 @@ def _spec():
     return build_example(rounds=30)
 
 
-def _session(plan, runs=3, **kw):
-    return run_profile_session(
-        _spec(), ProfileRequest(runs=runs, faults=plan, **kw)
+def _request(runs, jobs=1, faults=None, **resilience):
+    return ProfileRequest(
+        runs=runs,
+        execution=ExecutionConfig(jobs=jobs),
+        resilience=ResilienceConfig(faults=faults, **resilience),
     )
+
+
+def _session(plan, runs=3):
+    return run_profile_session(_spec(), _request(runs, faults=plan))
 
 
 def _accounted(outcome, runs):
@@ -85,8 +97,8 @@ def test_chaos_parallel_matches_serial():
     plan = replace(
         FaultPlan.chaos(seed=3, intensity=0.5), worker_kill=0.0, worker_hang=0.0
     )
-    serial = run_profile_session(spec, ProfileRequest(runs=6, jobs=1, faults=plan))
-    parallel = run_profile_session(spec, ProfileRequest(runs=6, jobs=2, faults=plan))
+    serial = run_profile_session(spec, _request(6, jobs=1, faults=plan))
+    parallel = run_profile_session(spec, _request(6, jobs=2, faults=plan))
     assert parallel.data == serial.data
     assert parallel.data.to_json() == serial.data.to_json()
     _accounted(parallel, 6)
@@ -97,26 +109,25 @@ def test_chaos_parallel_matches_serial():
 
 def test_worker_kill_is_retried_to_a_clean_session():
     spec = registry.build("example")
-    clean = run_profile_session(spec, ProfileRequest(runs=2, jobs=1))
+    clean = run_profile_session(spec, _request(2))
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent|worker"):
         chaotic = run_profile_session(
-            spec,
-            ProfileRequest(runs=2, jobs=2, faults=FaultPlan(seed=1, worker_kill=1.0)),
+            spec, _request(2, jobs=2, faults=FaultPlan(seed=1, worker_kill=1.0)),
         )
     assert not chaotic.degraded
     assert chaotic.data == clean.data
     _accounted(chaotic, 2)
 
 
-def test_worker_hang_recovers_within_deadline():
+def test_worker_hang_recovers_within_deadline(monkeypatch):
     spec = registry.build("example")
-    clean = run_profile_session(spec, ProfileRequest(runs=2, jobs=1))
+    clean = run_profile_session(spec, _request(2))
     plan = FaultPlan(seed=1, worker_hang=1.0, worker_hang_s=30.0)
+    # a 1 s watchdog cap instead of the production 300 s
+    monkeypatch.setattr(parallel_mod, "_WATCHDOG_CAP_S", 1.0)
     start = time.monotonic()
     with pytest.warns(ParallelExecutionWarning):
-        chaotic = run_profile_session(
-            spec, ProfileRequest(runs=2, jobs=2, faults=plan, timeout=1.0)
-        )
+        chaotic = run_profile_session(spec, _request(2, jobs=2, faults=plan))
     elapsed = time.monotonic() - start
     assert elapsed < 20.0  # bounded by the deadline, not the 30 s hang
     assert not chaotic.degraded
@@ -129,11 +140,13 @@ def test_worker_hang_recovers_within_deadline():
 _CHILD = """
 import sys
 from repro.apps import registry
-from repro.harness import ProfileRequest, run_profile_session
+from repro.harness import ProfileRequest, ResilienceConfig, run_profile_session
 
 run_profile_session(
     registry.build("example"),
-    ProfileRequest(runs=int(sys.argv[2]), journal=sys.argv[1]),
+    ProfileRequest(
+        runs=int(sys.argv[2]), resilience=ResilienceConfig(journal=sys.argv[1])
+    ),
 )
 """
 
@@ -179,7 +192,7 @@ def test_sigkilled_session_resumes_bit_identically(tmp_path):
     with warnings.catch_warnings():
         # a torn final record is expected after a SIGKILL mid-append
         warnings.simplefilter("ignore", UserWarning)
-        resumed = run_profile_session(spec, ProfileRequest(runs=runs, resume=path))
+        resumed = run_profile_session(spec, _request(runs, resume=path))
 
     assert resumed.data == uninterrupted.data
     assert resumed.data.to_json() == uninterrupted.data.to_json()

@@ -19,7 +19,11 @@ from repro.harness.checkpoint import (
     clear_memory_cache,
     execute_run,
 )
-from repro.harness.runner import ProfileRequest, run_profile_session
+from repro.harness.runner import (
+    ExecutionConfig,
+    ProfileRequest,
+    run_profile_session,
+)
 from repro.sim.snapshot import SNAPSHOT_VERSION, EngineSnapshot
 
 
@@ -189,9 +193,11 @@ def _session(jobs=1, checkpoint=True, checkpoint_dir=None):
         spec,
         ProfileRequest(
             runs=2,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            checkpoint_dir=checkpoint_dir,
+            execution=ExecutionConfig(
+                jobs=jobs,
+                checkpoint=checkpoint,
+                checkpoint_dir=checkpoint_dir,
+            ),
         ),
     )
 
@@ -270,3 +276,31 @@ def test_concurrent_processes_share_one_disk_cache(tmp_path):
     for seed in range(4):
         snap = CheckpointStore("shared-key", directory=d).get(seed)
         assert snap is not None and snap.when == seed * 10
+
+
+def test_bare_pickle_checkpoint_is_discarded_without_unpickling(tmp_path, monkeypatch):
+    """A cache file without the ``RSNP`` container header is discarded like
+    any unreadable file — its bytes never reach ``pickle.loads`` — and the
+    run re-records cold."""
+    import pickle
+
+    d = str(tmp_path / "cache")
+    cold = _session(checkpoint=False)
+    _session(checkpoint=True, checkpoint_dir=d)  # populate (serial)
+    seed0 = os.path.join(d, "seed-0.ckpt")
+    with open(seed0, "rb") as fh:
+        snap = EngineSnapshot.from_bytes(fh.read())
+    with open(seed0, "wb") as fh:
+        fh.write(pickle.dumps(snap))  # a bare pickle: no container header
+    os.unlink(os.path.join(d, "seed-1.ckpt"))
+    clear_memory_cache()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pickle.loads was called on a checkpoint file")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    with pytest.warns(CheckpointCacheWarning, match="unreadable"):
+        warm = _session(checkpoint=True, checkpoint_dir=d)
+    assert warm.data == cold.data
+    with open(seed0, "rb") as fh:
+        assert fh.read(4) == EngineSnapshot.WIRE_MAGIC  # re-recorded cold

@@ -6,6 +6,7 @@ main process (None): a run can then fail *only* worker-side, so the
 executor's retry-in-parent path is observable and the session completes.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -24,6 +25,7 @@ from repro.harness.parallel import (
     ParallelExecutionWarning,
     resolve_jobs,
 )
+from repro.harness.request import ExecutionConfig, ResilienceConfig
 from repro.harness.runner import ProfileRequest, profile_app, run_profile_session
 from repro.sim.clock import MS
 
@@ -56,6 +58,20 @@ def _build_hang(**kwargs):
     if _in_worker():
         time.sleep(30)
     return build_example(rounds=3)
+
+
+def _build_seed0_hang(**kwargs):
+    """App whose seed-0 run hangs, but only inside a pool worker."""
+    spec = build_example(rounds=3)
+    inner = spec.build
+
+    def build(seed):
+        if seed == 0 and _in_worker():
+            time.sleep(30)
+        return inner(seed)
+
+    spec.build = build
+    return spec
 
 
 @pytest.fixture
@@ -119,7 +135,10 @@ def test_parallel_profile_identical_to_serial(app, kwargs, cfg_kwargs):
 
 def test_run_profile_session_with_request():
     spec = registry.build("example", rounds=20)
-    request = ProfileRequest(runs=2, coz_config=_small_cfg(spec.scope), jobs=2)
+    request = ProfileRequest(
+        runs=2, coz_config=_small_cfg(spec.scope),
+        execution=ExecutionConfig(jobs=2),
+    )
     out = run_profile_session(spec, request)
     assert len(out.data.runs) == 2
     assert out.experiment_count > 0
@@ -163,27 +182,25 @@ def test_killed_worker_is_retried_and_session_completes(injected_app):
     assert len(out.data.runs) == 2
 
 
-def test_timed_out_worker_is_retried_and_session_completes(injected_app):
+def test_timed_out_worker_is_retried_and_session_completes(injected_app, monkeypatch):
     spec = injected_app("_test_sleepy", _build_sleepy)
+    monkeypatch.setattr(parallel, "_WATCHDOG_CAP_S", 0.25)
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
-        out = profile_app(
-            spec, runs=2, coz_config=_small_cfg(spec.scope), jobs=2, timeout=0.25,
-        )
+        out = profile_app(spec, runs=2, coz_config=_small_cfg(spec.scope), jobs=2)
     assert len(out.data.runs) == 2
 
 
-def test_hung_workers_are_terminated_on_timeout(injected_app):
+def test_hung_workers_are_terminated_on_timeout(injected_app, monkeypatch):
     """A timed-out run must not orphan its worker: ``Future.cancel()`` is a
     no-op on a running task and ``shutdown(wait=False)`` leaves the process
     grinding, so the executor has to terminate the pool outright.  The
     session still completes (every run retried in the parent) and no pool
     process survives it."""
     spec = injected_app("_test_hang", _build_hang)
+    monkeypatch.setattr(parallel, "_WATCHDOG_CAP_S", 1.0)
     start = time.monotonic()
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
-        out = profile_app(
-            spec, runs=4, coz_config=_small_cfg(spec.scope), jobs=2, timeout=1.0,
-        )
+        out = profile_app(spec, runs=4, coz_config=_small_cfg(spec.scope), jobs=2)
     assert len(out.data.runs) == 4
     # queued tasks must not each burn a full timeout behind hung workers
     assert time.monotonic() - start < 25.0
@@ -191,6 +208,39 @@ def test_hung_workers_are_terminated_on_timeout(injected_app):
     while time.monotonic() < deadline and multiprocessing.active_children():
         time.sleep(0.05)
     assert multiprocessing.active_children() == []
+
+
+def test_runs_harvested_before_a_hang_teardown_are_journaled(
+    injected_app, monkeypatch, tmp_path
+):
+    """Outputs collected from finished futures just before a hung pool is
+    terminated go through the journal hook like every other output: the
+    journal holds every run, and resuming it executes nothing."""
+    spec = injected_app("_test_seed0_hang", _build_seed0_hang)
+    cfg = _small_cfg(spec.scope)
+    path = str(tmp_path / "session.jsonl")
+    monkeypatch.setattr(parallel, "_WATCHDOG_CAP_S", 2.0)
+    with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
+        first = run_profile_session(spec, ProfileRequest(
+            runs=4, coz_config=cfg,
+            execution=ExecutionConfig(jobs=2, batch_runs=1),
+            resilience=ResilienceConfig(journal=path),
+        ))
+    assert len(first.data.runs) == 4
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
+    assert sorted(r["index"] for r in records if r["kind"] == "run") == [0, 1, 2, 3]
+
+    def no_runs(task, keep_objects=False):
+        raise AssertionError(f"resume re-executed run {task.index}")
+
+    monkeypatch.setattr(parallel, "_run_task", no_runs)
+    resumed = run_profile_session(spec, ProfileRequest(
+        runs=4, coz_config=cfg,
+        execution=ExecutionConfig(jobs=2, batch_runs=1),
+        resilience=ResilienceConfig(resume=path),
+    ))
+    assert resumed.data == first.data
 
 
 def test_pool_start_failure_degrades_to_serial(monkeypatch):

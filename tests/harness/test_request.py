@@ -1,4 +1,4 @@
-"""Grouped ProfileRequest sub-configs and their legacy flat-kwarg shims."""
+"""Grouped ProfileRequest sub-configs."""
 
 import warnings
 
@@ -28,34 +28,27 @@ def test_grouped_construction_is_silent():
         warnings.simplefilter("error")
         request = ProfileRequest(
             runs=4,
-            execution=ExecutionConfig(jobs=2, timeout=9.0),
+            execution=ExecutionConfig(jobs=2, batch_runs=2),
             resilience=ResilienceConfig(stop_after_runs=1),
             plan=PlanConfig(planner="adaptive", budget=3),
         )
-    assert request.jobs == 2
-    assert request.timeout == 9.0
-    assert request.stop_after_runs == 1
-    assert request.planner == "adaptive"
-    assert request.budget == 3
+    assert request.execution.jobs == 2
+    assert request.execution.batch_runs == 2
+    assert request.resilience.stop_after_runs == 1
+    assert request.plan.planner == "adaptive"
+    assert request.plan.budget == 3
 
 
-def test_flat_kwargs_warn_and_fold_into_groups():
+def test_omitted_groups_take_their_defaults():
     plan = FaultPlan(seed=1)
-    with pytest.warns(DeprecationWarning, match="flat ProfileRequest kwargs"):
-        legacy = ProfileRequest(runs=4, jobs=2, timeout=9.0, faults=plan)
-    grouped = ProfileRequest(
+    request = ProfileRequest(runs=4, resilience=ResilienceConfig(faults=plan))
+    assert request == ProfileRequest(
         runs=4,
-        execution=ExecutionConfig(jobs=2, timeout=9.0),
+        execution=ExecutionConfig(),
         resilience=ResilienceConfig(faults=plan),
+        plan=PlanConfig(),
     )
-    assert legacy == grouped
-    assert legacy.execution == grouped.execution
-    assert legacy.resilience == grouped.resilience
-
-
-def test_flat_kwarg_conflicts_with_its_group():
-    with pytest.raises(ValueError, match="jobs= conflicts with execution="):
-        ProfileRequest(jobs=2, execution=ExecutionConfig(jobs=4))
+    assert ProfileRequest(plan=None).plan == PlanConfig()
 
 
 def test_unknown_kwargs_still_raise():

@@ -1,10 +1,9 @@
-"""Retry/backoff/breaker edge cases and fatal-signal propagation.
+"""Service breaker heal cycle and fatal-signal propagation.
 
-The executor's :class:`RetryPolicy` and the service's worker loop share a
-failure philosophy: environmental failures are retried with bounded
-backoff, tenant-level failure streaks open a breaker that heals via a
-probe, and operator signals (``KeyboardInterrupt`` / ``SystemExit``) are
-*never* treated as retryable work — they stop the world.
+The service's worker loop treats tenant-level failure streaks with a
+breaker that heals via a probe, and operator signals (``KeyboardInterrupt``
+/ ``SystemExit``) are *never* treated as retryable work — they stop the
+world.
 """
 
 import socket as socket_mod
@@ -12,7 +11,6 @@ import threading
 
 import pytest
 
-from repro.harness.parallel import RetryPolicy
 from repro.harness.service import (
     CircuitBreaker,
     Job,
@@ -26,34 +24,6 @@ needs_unix_sockets = pytest.mark.skipif(
     not hasattr(socket_mod, "AF_UNIX"),
     reason="no AF_UNIX sockets on this platform",
 )
-
-
-# -- RetryPolicy backoff ------------------------------------------------------
-
-
-def test_backoff_cap_bounds_every_sleep():
-    policy = RetryPolicy(backoff_base_s=0.05, backoff_cap_s=2.0, jitter=0.5)
-    for attempt in range(12):  # 0.05 * 2^11 >> cap without the clamp
-        for task_seed in range(8):
-            sleep = policy.backoff_s(attempt, task_seed)
-            assert 0.0 < sleep <= policy.backoff_cap_s
-    # at high attempts the pre-jitter base is exactly the cap
-    assert policy.backoff_s(30, 0) >= policy.backoff_cap_s * (1 - policy.jitter)
-
-
-def test_backoff_without_jitter_is_exact_capped_doubling():
-    policy = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.5, jitter=0.0)
-    assert policy.backoff_s(0, 0) == pytest.approx(0.1)
-    assert policy.backoff_s(1, 0) == pytest.approx(0.2)
-    assert policy.backoff_s(2, 0) == pytest.approx(0.4)
-    assert policy.backoff_s(3, 0) == pytest.approx(0.5)  # capped
-    assert policy.backoff_s(50, 0) == pytest.approx(0.5)
-
-
-def test_backoff_jitter_is_deterministic_per_seed():
-    policy = RetryPolicy(jitter=0.5, seed=7)
-    assert policy.backoff_s(2, 11) == policy.backoff_s(2, 11)
-    assert policy.backoff_s(2, 11) != policy.backoff_s(2, 12)
 
 
 # -- breaker heal cycle -------------------------------------------------------
