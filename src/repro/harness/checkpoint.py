@@ -11,7 +11,7 @@ the journal uses) plus the per-run seed.
 Storage is two-level:
 
 * a process-global in-memory LRU, so repeated sessions in one process
-  (bench warm trials, doctor identity checks, back-to-back CLI sessions)
+  (perfbench warm sessions, doctor identity checks, back-to-back CLI sessions)
   resume without touching disk;
 * an optional on-disk cache directory, shared between the parent and pool
   workers and across processes.  The directory carries a ``MANIFEST.json``
@@ -115,8 +115,16 @@ def _dir_lock(directory: str):
             fh.close()
 
 
+def _remember(key: str, seed: int, snap: EngineSnapshot) -> None:
+    """Insert into the memory LRU, evicting the oldest entries past the cap."""
+    _MEMORY[(key, seed)] = snap
+    _MEMORY.move_to_end((key, seed))
+    while len(_MEMORY) > _MEMORY_CAP:
+        _MEMORY.popitem(last=False)
+
+
 def clear_memory_cache() -> None:
-    """Drop every in-memory checkpoint (tests, and bench cold baselines)."""
+    """Drop every in-memory checkpoint (tests, and benchmark cold baselines)."""
     _MEMORY.clear()
     _SHARED_STORES.clear()
 
@@ -183,10 +191,7 @@ class CheckpointStore:
         return self._disk_get(seed)
 
     def put(self, seed: int, snapshot: EngineSnapshot) -> None:
-        _MEMORY[(self.key, seed)] = snapshot
-        _MEMORY.move_to_end((self.key, seed))
-        while len(_MEMORY) > _MEMORY_CAP:
-            _MEMORY.popitem(last=False)
+        _remember(self.key, seed, snapshot)
         self._disk_put(seed, snapshot)
 
     # --------------------------------------------------------------- disk
@@ -272,8 +277,7 @@ class CheckpointStore:
             except OSError:
                 pass
             return None
-        _MEMORY[(self.key, seed)] = snap
-        _MEMORY.move_to_end((self.key, seed))
+        _remember(self.key, seed, snap)
         return snap
 
     def _disk_put(self, seed: int, snapshot: EngineSnapshot) -> None:
@@ -383,10 +387,7 @@ class SnapshotWire:
             )
             return store.get(self.seed) if store is not None else None
         if self.key is not None:
-            _MEMORY[(self.key, self.seed)] = snap
-            _MEMORY.move_to_end((self.key, self.seed))
-            while len(_MEMORY) > _MEMORY_CAP:
-                _MEMORY.popitem(last=False)
+            _remember(self.key, self.seed, snap)
         return snap
 
 

@@ -758,8 +758,13 @@ class _PoolSession:
         a failed singleton in the parent.  A broken pool fails every
         outstanding future, so it is also rebuilt (bounded) and all
         unfinished work resubmitted."""
-        for t in pending:
-            self.attempts[t.index] += 1
+        broken = isinstance(exc, (BrokenProcessPool, _FutureCancelled))
+        # a broken pool fails every run in flight, not only this unit's:
+        # resubmitting the others at their old attempt would re-fire a
+        # first-attempt worker fault and break the rebuilt pool too
+        for index in self.attempts if broken else [t.index for t in pending]:
+            if index not in self.outputs:
+                self.attempts[index] += 1
         if len(pending) > 1:
             _warn(
                 f"a batch of {len(pending)} runs failed in a worker "
@@ -771,7 +776,7 @@ class _PoolSession:
         else:
             units = self.replace_batch(batch, [])
             orphan = pending[0]
-        if isinstance(exc, (BrokenProcessPool, _FutureCancelled)):
+        if broken:
             self.rebuild_pool(exc)
         else:
             for unit in units:

@@ -9,20 +9,14 @@ restart-recovery test can assert a SIGKILL'd session resumed to exactly
 the bytes an uninterrupted one produced.
 
 Layout mirrors the checkpoint store: an in-memory LRU in front of one
-content-addressed blob per fingerprint, written atomically via
+content-addressed file per fingerprint, written atomically via
 ``os.replace`` and skipped when already present (first-writer-wins; the
 content is deterministic, so writers never disagree).  Deadline-partial
 results are returned to waiters but **never** stored — a truncated
 session must not shadow the full one a resubmit would complete.
 
-On-disk format: the authoritative file is ``<dir>/<fp>.bin`` — a small
-container holding the result document's metadata header as JSON plus the
-profile payload on the compact binary wire
-(:meth:`~repro.core.profile_data.ProfileData.to_bytes`), which is several
-times smaller than the JSON form.  A ``<fp>.json`` debug view with the
-full JSON document is written alongside so stored results stay greppable;
-reads prefer the binary file and fall back to plain JSON, so stores
-written by older daemons keep working.
+On-disk format: ``<dir>/<fp>.json``, the full document with sorted keys,
+so stored results stay greppable.
 """
 
 from __future__ import annotations
@@ -37,11 +31,6 @@ __all__ = ["ResultStore"]
 
 #: in-memory entries kept per store (small: result docs are a few KB)
 _MEMORY_CAP = 64
-
-#: binary result container: magic + version + u32 header length + header
-#: JSON (doc minus ``profile_data``) + ProfileData binary wire
-_BIN_MAGIC = b"RRES"
-_BIN_VERSION = 1
 
 
 class ResultStore:
@@ -58,63 +47,8 @@ class ResultStore:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
-    def _bin_path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, f"{fingerprint}.bin")
-
     def _json_path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f"{fingerprint}.json")
-
-    # ----------------------------------------------------------- wire codec
-
-    @staticmethod
-    def _encode(doc: Dict[str, Any]) -> bytes:
-        """Pack a result document into the binary container.
-
-        Raises when the document carries no well-formed ``profile_data``
-        (the caller falls back to the plain-JSON file).
-        """
-        profile = doc.get("profile_data")
-        if not isinstance(profile, dict):
-            raise ValueError("result document has no profile_data")
-        from repro.core.profile_data import ProfileData
-
-        blob = ProfileData.from_json(json.dumps(profile)).to_bytes()
-        header = {k: v for k, v in doc.items() if k != "profile_data"}
-        hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        return b"".join([
-            _BIN_MAGIC,
-            bytes([_BIN_VERSION]),
-            len(hdr).to_bytes(4, "little"),
-            hdr,
-            blob,
-        ])
-
-    @staticmethod
-    def _decode(raw: bytes) -> Dict[str, Any]:
-        """Unpack the binary container back into the result document.
-
-        ``profile_data`` is appended last, matching the daemon's document
-        key order, so decoded and freshly-built docs canonicalize equal.
-        """
-        if not raw.startswith(_BIN_MAGIC):
-            raise ValueError("not a binary result container")
-        if raw[len(_BIN_MAGIC)] != _BIN_VERSION:
-            raise ValueError(
-                f"unsupported result container version {raw[len(_BIN_MAGIC)]}"
-            )
-        offset = len(_BIN_MAGIC) + 1
-        hdr_len = int.from_bytes(raw[offset:offset + 4], "little")
-        offset += 4
-        header = json.loads(raw[offset:offset + hdr_len].decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError("malformed result container header")
-        from repro.core.profile_data import ProfileData
-
-        doc = dict(header)
-        doc["profile_data"] = json.loads(
-            ProfileData.from_bytes(raw[offset + hdr_len:]).to_json()
-        )
-        return doc
 
     # ------------------------------------------------------------- get/put
 
@@ -126,18 +60,12 @@ class ResultStore:
                 self.hits += 1
                 return doc
         if self.directory is not None:
-            doc = None
             try:
-                with open(self._bin_path(fingerprint), "rb") as fh:
-                    doc = self._decode(fh.read())
+                with open(self._json_path(fingerprint), "r",
+                          encoding="utf-8") as fh:
+                    doc = json.load(fh)
             except (OSError, ValueError):
-                # legacy / debug view: one plain-JSON document per result
-                try:
-                    with open(self._json_path(fingerprint), "r",
-                              encoding="utf-8") as fh:
-                        doc = json.load(fh)
-                except (OSError, ValueError):
-                    doc = None
+                doc = None
             if isinstance(doc, dict):
                 with self._lock:
                     self._remember(fingerprint, doc)
@@ -152,14 +80,6 @@ class ResultStore:
             self._remember(fingerprint, doc)
         if self.directory is None:
             return
-        try:
-            payload: Optional[bytes] = self._encode(doc)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            payload = None  # no/odd profile payload: JSON file only
-        if payload is not None:
-            self._write_atomic(self._bin_path(fingerprint), payload)
         self._write_atomic(
             self._json_path(fingerprint),
             json.dumps(doc, sort_keys=True, separators=(",", ":"))

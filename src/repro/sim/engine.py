@@ -187,7 +187,7 @@ class Engine:
         self.backend: str = _backend.resolve_backend(self.cfg.backend)
         self._backend_loop = _backend.event_loop_for(self.backend)
         #: times the compiled core actually ran an event loop for this
-        #: engine (0 under the pure backend or an accel fallback) — bench
+        #: engine (0 under the pure backend or an accel fallback) — perfbench
         #: and tests use this to prove the accel path really engaged
         self.accel_loops = 0
         columnar = self.cfg.columnar_samples
@@ -221,7 +221,7 @@ class Engine:
         self.total_delay_ns = 0
         #: total nominal CPU time executed across all threads
         self.total_cpu_ns = 0
-        #: heap events processed (perf observability, see `repro bench`)
+        #: heap events processed (perf observability, see perfbench's sim layer)
         self.events_processed = 0
 
         self.main_thread: Optional[VThread] = None

@@ -119,6 +119,22 @@ def test_worker_kill_is_retried_to_a_clean_session():
     _accounted(chaotic, 2)
 
 
+def test_broken_pool_spends_the_attempt_of_every_run_in_flight():
+    # the first kill breaks the pool under every in-flight batch; the runs
+    # resubmitted on the rebuilt pool must not re-fire their first-attempt
+    # kills and break it a second time
+    spec = registry.build("example")
+    plan = FaultPlan.chaos(seed=3, intensity=0.5)
+    serial = run_profile_session(spec, _request(4, jobs=1, faults=plan))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parallel = run_profile_session(spec, _request(4, jobs=2, faults=plan))
+    messages = [str(w.message) for w in caught]
+    assert not [m for m in messages if "broke again" in m], messages
+    assert parallel.data == serial.data
+    _accounted(parallel, 4)
+
+
 def test_worker_hang_recovers_within_deadline(monkeypatch):
     spec = registry.build("example")
     clean = run_profile_session(spec, _request(2))

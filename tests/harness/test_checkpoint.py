@@ -115,6 +115,20 @@ def test_disk_store_round_trip(tmp_path):
     assert manifest["snapshot_version"] == SNAPSHOT_VERSION
 
 
+def test_disk_reads_respect_the_memory_cap(tmp_path, monkeypatch):
+    # a warm session over a large disk cache must not grow memory past the
+    # LRU cap: disk hits go through the same eviction as puts
+    d = str(tmp_path / "cache")
+    for seed in range(5):
+        CheckpointStore("key", directory=d).put(seed, _dummy_snapshot(seed))
+    clear_memory_cache()
+    monkeypatch.setattr(ckpt, "_MEMORY_CAP", 2)
+    store = CheckpointStore("key", directory=d)
+    for seed in range(5):
+        assert store.get(seed).seed == seed
+    assert len(ckpt._MEMORY) <= 2
+
+
 def test_stale_disk_cache_is_invalidated_with_a_warning(tmp_path):
     """A fingerprint mismatch must warn and purge — never silently reuse."""
     d = str(tmp_path / "cache")
@@ -209,6 +223,18 @@ def test_checkpointed_session_matches_cold_session():
     assert ckpt._MEMORY, "populate pass recorded nothing"
     warm = _session(checkpoint=True)  # resumes every run
     assert warm.data == cold.data
+    # and the cold session simulates exactly its per-run Program.run loop
+    # (same seeds, same profiler construction)
+    spec = registry.build("example")
+    loop = []
+    for seed in range(2):
+        cfg = replace(CozConfig(scope=spec.scope), seed=seed)
+        prof = CausalProfiler(cfg, spec.progress_points, spec.latency_specs)
+        r = spec.build(seed).run(hook=prof)
+        loop.append((r.runtime_ns, r.events_processed, r.sample_count))
+    assert [
+        (r.runtime_ns, r.events_processed, r.sample_count) for r in cold.run_results
+    ] == loop
 
 
 def test_parallel_session_resumes_from_disk_cache(tmp_path):

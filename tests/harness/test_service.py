@@ -356,20 +356,15 @@ def _profile_doc():
     }
 
 
-def test_result_store_binary_container_round_trips_profiles(tmp_path):
+def test_result_store_disk_hit_equals_the_put_document(tmp_path):
     import json as _json
     import os as _os
 
     doc = _profile_doc()
     store = ResultStore(str(tmp_path / "results"))
     store.put(doc["fingerprint"], doc)
-    bin_path = store._bin_path(doc["fingerprint"])
-    json_path = store._json_path(doc["fingerprint"])
-    assert _os.path.exists(bin_path)   # authoritative binary container
-    assert _os.path.exists(json_path)  # greppable debug view
-    # the binary file must actually be smaller than the JSON document
-    assert _os.path.getsize(bin_path) < _os.path.getsize(json_path)
-    # a cold store decodes the binary container back to the same document
+    assert _os.listdir(str(tmp_path / "results")) == [f"{doc['fingerprint']}.json"]
+    # a cold store reads the JSON file back to the same document
     again = ResultStore(str(tmp_path / "results"))
     got = again.get(doc["fingerprint"])
     assert _json.dumps(got, sort_keys=True) == _json.dumps(doc, sort_keys=True)
@@ -396,7 +391,6 @@ def test_result_store_doc_without_profile_falls_back_to_json(tmp_path):
     store = ResultStore(str(tmp_path / "results"))
     doc = {"schema": "service-result/v1", "state": "done"}
     store.put("dd" * 32, doc)
-    assert not _os.path.exists(store._bin_path("dd" * 32))
     assert _os.path.exists(store._json_path("dd" * 32))
     again = ResultStore(str(tmp_path / "results"))
     assert again.get("dd" * 32) == doc

